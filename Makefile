@@ -130,13 +130,18 @@ dash-smoke:
 	$(GO) test -count=1 -run 'TestDash' ./internal/obs/
 	$(GO) test -count=1 -run 'TestFlightRecorder|TestServeWithoutRecorder' ./internal/serve/
 
-# Short native-fuzz run: each crashfuzz target gets 10 s of coverage-
-# guided mutation on top of its seed corpus. Failures are shrunk by
+# Short native-fuzz run: each target gets 10 s of coverage-guided
+# mutation on top of its seed corpus. Crashfuzz failures are shrunk by
 # re-running the printed token through `anubis-fuzz -replay` (see
-# EXPERIMENTS.md "Crash-injection fuzzing").
+# EXPERIMENTS.md "Crash-injection fuzzing"); FuzzLoadDevice holds the
+# NVM image decoder to "never panic, and what loads re-saves to the
+# same state" (DESIGN.md §8). Its minimization is capped at 100 runs:
+# uncapped, shrinking the first new multi-KB input took the whole
+# 10 s (about 400 runs in total instead of about 100,000).
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzTrial$$' -fuzztime 10s ./internal/crashfuzz/
 	$(GO) test -run xxx -fuzz 'FuzzParseSchedule$$' -fuzztime 10s ./internal/crashfuzz/
+	$(GO) test -run xxx -fuzz 'FuzzLoadDevice$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/nvm/
 
 # Long differential fuzz: 500 seeded random schedules across every
 # scheme × crash model combination (the PR acceptance run).

@@ -167,6 +167,10 @@ var ErrNotRecoverable = memctrl.ErrNotRecoverable
 // errors.Is to distinguish a mid-crash tenant from a real failure.
 var ErrCrashed = memctrl.ErrCrashed
 
+// ErrCorruptImage reports an NVM image that is truncated, fails its
+// checksum, or is otherwise malformed: OpenImage loads nothing from it.
+var ErrCorruptImage = nvm.ErrCorruptImage
+
 // IsIntegrityViolation reports whether an error came from a failed
 // integrity check (tampering, replay, or inconsistent crash state).
 func IsIntegrityViolation(err error) bool {

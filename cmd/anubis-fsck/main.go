@@ -14,6 +14,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -74,9 +75,13 @@ func main() {
 	if err != nil {
 		// A recovery failure IS a verdict: the image cannot be brought
 		// to a verified state (tampering or unrecoverable crash state).
-		if *jsonOut {
+		switch {
+		case *jsonOut:
 			emitJSON(fsckVerdict{Verdict: "corrupt", RecoveryError: err.Error()})
-		} else {
+		case errors.Is(err, anubis.ErrCorruptImage):
+			// Torn or damaged file: recovery never ran.
+			fmt.Printf("image is CORRUPT: unreadable image: %v\n", err)
+		default:
 			fmt.Printf("image is CORRUPT: recovery failed: %v\n", err)
 		}
 		os.Exit(1)

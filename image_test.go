@@ -2,7 +2,11 @@ package anubis
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"testing"
+
+	"anubis/internal/nvm"
 )
 
 func TestSaveOpenImageCleanShutdown(t *testing.T) {
@@ -102,9 +106,67 @@ func TestAuditPublicAPI(t *testing.T) {
 	}
 }
 
+// TestOpenImageGarbage: junk and a bit-flipped image both fail with
+// ErrCorruptImage.
 func TestOpenImageGarbage(t *testing.T) {
-	if _, _, err := OpenImage(Config{Scheme: AGITPlus, MemoryBytes: 1 << 20},
-		bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("garbage accepted")
+	cfg := Config{Scheme: AGITPlus, MemoryBytes: 1 << 20}
+	if _, _, err := OpenImage(cfg, bytes.NewReader([]byte("junk"))); !errors.Is(err, ErrCorruptImage) {
+		t.Fatalf("garbage: %v", err)
+	}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.WriteBlock(3, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sys.SaveImage(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	img[len(img)/2] ^= 1
+	if _, _, err := OpenImage(cfg, bytes.NewReader(img)); !errors.Is(err, ErrCorruptImage) {
+		t.Fatalf("bit-flipped image: %v", err)
+	}
+}
+
+// v1Fixture is a v1 (gob) image of a 1 MiB AGIT-Plus system with
+// Start-Gap wear leveling and the epoch pipeline, saved mid-crash by a
+// build that still wrote v1 (internal/nvm/testdata/gen_v1_fixture.go).
+// It holds data sidebands, an erased block with nonzero wear, on-chip
+// registers, a staged commit group with DONE_BIT set, and an epoch
+// journal. v1FixtureDigest is the generating device's StateDigest.
+const (
+	v1Fixture       = "internal/nvm/testdata/v1_agitplus_1mib.img"
+	v1FixtureDigest = 0x732e209935f210e4
+)
+
+func TestOpenV1Fixture(t *testing.T) {
+	raw, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := nvm.LoadDevice(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.StateDigest(); got != v1FixtureDigest {
+		t.Fatalf("v1 fixture digest %#x, recorded %#x", got, uint64(v1FixtureDigest))
+	}
+	if !dev.DoneBit() || dev.StagedLen() == 0 || dev.JournalLen() == 0 {
+		t.Fatalf("fixture lost state: done=%v staged=%d journal=%d", dev.DoneBit(), dev.StagedLen(), dev.JournalLen())
+	}
+	cfg := Config{Scheme: AGITPlus, MemoryBytes: 1 << 20, WearLevelingPeriod: 4}
+	sys, rep, err := OpenImage(cfg, bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.EntriesScanned == 0 {
+		t.Fatal("mid-crash image recovered without scanning shadow entries")
+	}
+	audit, err := sys.Audit()
+	if err != nil || !audit.OK() {
+		t.Fatalf("audit after opening the v1 fixture: %v %v", err, audit.Violations)
 	}
 }

@@ -7,8 +7,8 @@ import (
 // Golden fork-vs-cold equivalence: a crash/recovery trial executed on a
 // controller forked from a warm parent must be byte-identical — run
 // statistics, recovery report, and the full persistent device image
-// (via nvm's canonical StateDigest; the gob Save stream itself encodes
-// maps in randomized order) — to the same trial executed on a
+// (via nvm's canonical StateDigest, which covers what Save writes
+// without serializing) — to the same trial executed on a
 // cold-started controller that replayed the entire history itself. This is the contract that lets the
 // recovery sweeps amortize one fill across N trials (ISSUE 3), and it
 // exercises every piece of Clone: COW page sharing, cache/LRU cloning,

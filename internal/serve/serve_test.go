@@ -294,3 +294,28 @@ func TestParseSchemeRoundtrip(t *testing.T) {
 		t.Fatal("bogus scheme parsed")
 	}
 }
+
+// A damaged tenant image is reported as anubis.ErrCorruptImage, so an
+// operator can tell a torn image from a missing file or a bad manifest.
+func TestLoadStateCorruptImage(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{})
+	mustCreate(t, s, "a", TenantConfig{Scheme: "agit-plus", MemoryBytes: 1 << 20})
+	mustWrite(t, s, "a", 1, []byte("payload"))
+	if err := s.Shutdown(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "a.img")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{})
+	defer s2.Shutdown("")
+	if err := s2.LoadState(dir); !errors.Is(err, anubis.ErrCorruptImage) {
+		t.Fatalf("LoadState of a torn image: %v", err)
+	}
+}
