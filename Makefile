@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench bench-smoke bench-device bench-epoch bench-shard bench-fastpath bench-json bench-tools fuzz-tools fuzz-smoke fuzz serve-tools serve-smoke dash-smoke fmt clean
+.PHONY: all build vet test race verify bench bench-smoke bench-device bench-epoch bench-json bench-tools fuzz-tools fuzz-smoke fuzz serve-tools serve-smoke dash-smoke fmt clean
 
 all: verify
 
@@ -58,43 +58,14 @@ bench-epoch:
 	$(GO) run ./scripts/bench_compare -exact-metrics results/smoke_epoch0.json results/smoke_epoch1.json
 	$(SMOKE_RUN) -epoch 16 > /dev/null
 
-# Intra-trial shard smoke: the sharded engine at 1, 4 and 8 workers
-# must match the legacy engine (shard 0) — the shard oracle's
-# metric-neutrality contract.
-bench-shard:
-	mkdir -p results
-	$(SMOKE_RUN) -shard 0 -json results/smoke_shard0.json > /dev/null
-	$(SMOKE_RUN) -shard 1 -json results/smoke_shard1.json > /dev/null
-	$(GO) run ./scripts/bench_compare -exact-metrics results/smoke_shard0.json results/smoke_shard1.json
-	$(SMOKE_RUN) -shard 4 -json results/smoke_shard4.json > /dev/null
-	$(GO) run ./scripts/bench_compare -exact-metrics results/smoke_shard0.json results/smoke_shard4.json
-	$(SMOKE_RUN) -shard 8 -json results/smoke_shard8.json > /dev/null
-	$(GO) run ./scripts/bench_compare -exact-metrics results/smoke_shard0.json results/smoke_shard8.json
-
-# Hit-burst fast-path smoke: the lane on must match the stepped engine
-# (lane off) bit for bit — alone, stacked on an epoch window, and
-# stacked on the sharded engine (the three burst-retirement variants:
-# eager tree walk, journal note, sharded spine).
-bench-fastpath:
-	mkdir -p results
-	$(SMOKE_RUN) -json results/smoke_fp0.json > /dev/null
-	$(SMOKE_RUN) -fastpath -json results/smoke_fp1.json > /dev/null
-	$(GO) run ./scripts/bench_compare -exact-metrics results/smoke_fp0.json results/smoke_fp1.json
-	$(SMOKE_RUN) -epoch 16 -json results/smoke_fpe0.json > /dev/null
-	$(SMOKE_RUN) -epoch 16 -fastpath -json results/smoke_fpe1.json > /dev/null
-	$(GO) run ./scripts/bench_compare -exact-metrics results/smoke_fpe0.json results/smoke_fpe1.json
-	$(SMOKE_RUN) -shard 4 -fastpath -json results/smoke_fps1.json > /dev/null
-	$(GO) run ./scripts/bench_compare -exact-metrics results/smoke_fp0.json results/smoke_fps1.json
-
 # PR-tracking benchmark record: the fixed suite matrix (quick + full
-# scale, sequential + parallel, epoch-pipeline sweep, intra-trial
-# shard sweep, hit-burst fast-path sweep, forked-vs-cold recovery
-# sweep with per-phase attribution) written to results/BENCH_9.json.
-# Compare against the previous PR's record:
-#   go run ./scripts/bench_compare -epoch-sweep -shard-sweep -fastpath-sweep -max-recovery-phase-regress 0.1 results/BENCH_8.json results/BENCH_9.json
+# scale, sequential + parallel, epoch-pipeline sweep, forked-vs-cold
+# recovery sweep with per-phase attribution) written to
+# results/BENCH_14.json. Compare against the previous record:
+#   go run ./scripts/bench_compare -epoch-sweep -max-recovery-phase-regress 0.1 results/BENCH_9.json results/BENCH_14.json
 bench-json:
 	mkdir -p results
-	$(GO) run ./cmd/anubis-bench -suite -trials 50 -json results/BENCH_9.json
+	$(GO) run ./cmd/anubis-bench -suite -trials 50 -json results/BENCH_14.json
 
 # Build-only smoke: the suite driver and the comparison tool keep
 # compiling. Deliberately runs no benchmarks (wall-clock is too noisy

@@ -83,7 +83,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "anubis-sim:", err)
 			os.Exit(1)
 		}
-		res, err := sim.Run(ctrl, trace.NewGenerator(prof, *seed), *n)
+		res, err := sim.Run(ctrl, trace.NewGenerator(prof, *seed), *n, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "anubis-sim:", err)
 			os.Exit(1)

@@ -136,22 +136,6 @@ func (c *Cache) Lookup(key uint64) (*Line, bool) {
 	return nil, false
 }
 
-// Touch replays the hit half of Lookup on a line obtained from Peek:
-// LRU freshening plus the hit count, without re-scanning the set. The
-// fast lane guards with Peek (pure) and, on acceptance, Touches the
-// line so hit statistics and recency order stay identical to a Lookup.
-func (c *Cache) Touch(l *Line) {
-	c.tick++
-	l.lru = c.tick
-	c.stats.Hits++
-}
-
-// AddHits credits n extra cache hits in one step. Used by the fast lane
-// for walks it provably skipped on lines whose recency a later walk of
-// the same path re-establishes (the deferred Merkle-path update touches
-// each level once per page run instead of once per write).
-func (c *Cache) AddHits(n uint64) { c.stats.Hits += n }
-
 // Peek finds a cached block without disturbing LRU state or statistics.
 func (c *Cache) Peek(key uint64) (*Line, bool) {
 	set := c.set(key)
@@ -300,14 +284,6 @@ func (c *Cache) MarkDirty(key uint64) (first bool) {
 	if !ok {
 		panic("cache: MarkDirty on absent key")
 	}
-	return c.MarkDirtyLine(l)
-}
-
-// MarkDirtyLine is MarkDirty for a line already in hand: identical
-// statistics without the set re-scan. The fast lane holds the line
-// pointer across a run, so paying the Peek per retired write would be
-// pure waste.
-func (c *Cache) MarkDirtyLine(l *Line) (first bool) {
 	first = !l.Dirty
 	l.Dirty = true
 	if first {

@@ -175,39 +175,32 @@ func TestEpochReplayTokens(t *testing.T) {
 	}
 }
 
-// TestFastpathWarmFillTrials pins the fast-path schedule dimension:
-// every combo warms through the hit-burst lane (plain and sharded, with
-// and without an epoch window) and must satisfy the full differential
-// oracle — the byte-identity contract extended through crash, recovery
-// and post-run service. Tokens carrying fastpath=1 must round-trip, and
-// epoch-less/fastpath-less corpora must still parse to the legacy path.
-func TestFastpathWarmFillTrials(t *testing.T) {
-	r := NewRunner()
-	cseed := int64(9000)
-	for _, combo := range Combos() {
-		for _, variant := range []struct{ shard, epoch int }{{0, 0}, {4, 0}, {0, 4}} {
-			s := Schedule{
-				Profile: "libquantum", Combo: combo, Model: nvm.CrashFullADR,
-				Epoch: variant.epoch, Shard: variant.shard, Fastpath: 1,
-				Warm: 256, Extra: 16, MidCommit: -1,
-				TraceSeed: 99, CrashSeed: cseed,
-			}
-			cseed++
-			rt, err := ParseSchedule(s.String())
-			if err != nil || rt != s {
-				t.Fatalf("fastpath token %q did not round-trip: %+v (%v)", s.String(), rt, err)
-			}
-			if v := r.RunTrial(s); v != nil {
-				t.Fatalf("%v", v)
-			}
-		}
-	}
-	s, err := ParseSchedule("v1 profile=mcf combo=bonsai/strict model=full-adr warm=64 extra=5 mid=-1 faults=0 tseed=99 cseed=1")
+// TestRemovedEngineTokensReplay pins replay-token compatibility with
+// the removed sharded and hit-burst warm-fill engines: a token carrying
+// their shard=/fastpath= keys parses to the same schedule as the token
+// without them (both engines were byte-identical to the plain warm
+// fill), and that schedule still passes the differential oracle.
+func TestRemovedEngineTokensReplay(t *testing.T) {
+	const plain = "v1 profile=mcf combo=bonsai/agit-plus model=full-adr warm=64 extra=9 mid=-1 faults=0 tseed=99 cseed=21"
+	old, err := ParseSchedule(plain + " shard=4 fastpath=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Fastpath != 0 {
-		t.Fatalf("fastpath-less token parsed to Fastpath=%d, want 0", s.Fastpath)
+	want, err := ParseSchedule(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old != want {
+		t.Fatalf("token with shard=/fastpath= parsed to %+v, want %+v", old, want)
+	}
+	if old.String() != plain {
+		t.Fatalf("re-encoded token %q, want %q", old.String(), plain)
+	}
+	if _, err := ParseSchedule(plain + " shard=x"); err == nil {
+		t.Fatal("non-integer shard= accepted")
+	}
+	if v := NewRunner().RunTrial(old); v != nil {
+		t.Fatalf("%v", v)
 	}
 }
 
@@ -236,7 +229,7 @@ func TestFuzzerCatchesRecoveryPanicAndShrinks(t *testing.T) {
 	s := Schedule{
 		Profile: "libquantum", Combo: Combo{sim.FamilyBonsai, memctrl.SchemeStrict},
 		Model: nvm.CrashTornBlock, Warm: 256, Extra: 77, MidCommit: 4, Faults: 3,
-		Fastpath: 1, TraceSeed: 99, CrashSeed: 7,
+		TraceSeed: 99, CrashSeed: 7,
 	}
 	v := r.RunTrial(s)
 	if v == nil || v.Phase != "recover" {
@@ -249,7 +242,7 @@ func TestFuzzerCatchesRecoveryPanicAndShrinks(t *testing.T) {
 	if mv == nil {
 		t.Fatal("shrink lost the failure")
 	}
-	if min.Faults != 0 || min.MidCommit != -1 || min.Model != nvm.CrashFullADR || min.Fastpath != 0 {
+	if min.Faults != 0 || min.MidCommit != -1 || min.Model != nvm.CrashFullADR {
 		t.Fatalf("shrink kept irrelevant features: %+v", min)
 	}
 	if min.Extra != 1 || min.Warm != 0 {
@@ -326,10 +319,10 @@ var fuzzRunner = NewRunner()
 // mutates the schedule dimensions and every execution must satisfy the
 // differential oracle.
 func FuzzTrial(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint16(10), int8(-1), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(99), uint8(4), uint8(1), uint8(2), uint16(33), int8(3), uint8(1), uint8(1), uint8(1))
-	f.Add(int64(7), uint8(10), uint8(2), uint8(1), uint16(80), int8(0), uint8(2), uint8(2), uint8(1))
-	f.Fuzz(func(t *testing.T, cseed int64, combo, model, profile uint8, extra uint16, mid int8, faults, epoch, fastpath uint8) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint16(10), int8(-1), uint8(0), uint8(0))
+	f.Add(int64(99), uint8(4), uint8(1), uint8(2), uint16(33), int8(3), uint8(1), uint8(1))
+	f.Add(int64(7), uint8(10), uint8(2), uint8(1), uint16(80), int8(0), uint8(2), uint8(2))
+	f.Fuzz(func(t *testing.T, cseed int64, combo, model, profile uint8, extra uint16, mid int8, faults, epoch uint8) {
 		combos := Combos()
 		epochs := []int{0, 4, 16}
 		s := Schedule{
@@ -337,7 +330,6 @@ func FuzzTrial(f *testing.F) {
 			Combo:     combos[int(combo)%len(combos)],
 			Model:     nvm.CrashModel(int(model) % len(nvm.CrashModels())),
 			Epoch:     epochs[int(epoch)%len(epochs)],
-			Fastpath:  int(fastpath) % 2,
 			Warm:      64,
 			Extra:     1 + int(extra)%MaxExtra,
 			MidCommit: -1,

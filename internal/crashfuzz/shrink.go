@@ -3,15 +3,10 @@ package crashfuzz
 // Shrinking: reduce a failing schedule to a minimal repro.
 //
 // The order is deliberate — drop whole crash-model features first
-// (the hit-burst fast path, the sharded warm fill, fault injection, the
-// mid-commit hook, the relaxed persistence model, then the epoch
-// coalescing window), because a repro without them implicates a much
-// smaller slice of the system; the fast path goes first of all because
-// a repro surviving on the stepped engine clears the entire closed-form
-// burst machinery from the suspect set, and the shard worker count next
-// because surviving on the legacy engine clears the content-plane
-// oracle too. Only then bisect
-// the crash point (Extra) and the warm fill (Warm), which shortens the
+// (fault injection, the mid-commit hook, the relaxed persistence model,
+// then the epoch coalescing window), because a repro without them
+// implicates a much smaller slice of the system. Only then bisect the
+// crash point (Extra) and the warm fill (Warm), which shortens the
 // trace a human must replay.
 
 // ShrinkBudget caps the number of trial re-executions one Shrink call
@@ -38,20 +33,6 @@ func (r *Runner) Shrink(s Schedule) (Schedule, *Violation) {
 
 	// 1. Feature dropping: each feature is removed independently and
 	// kept out only if the failure survives.
-	if s.Fastpath != 0 {
-		cand := s
-		cand.Fastpath = 0
-		if v := try(cand); v != nil {
-			s, best = cand, v
-		}
-	}
-	if s.Shard != 0 {
-		cand := s
-		cand.Shard = 0
-		if v := try(cand); v != nil {
-			s, best = cand, v
-		}
-	}
 	if s.Faults != 0 {
 		cand := s
 		cand.Faults = 0

@@ -78,7 +78,7 @@ func miniRecovery(cfg memctrl.Config, prof trace.Profile, rc RunConfig) (*memctr
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sim.Run(ctrl, rc.sourceN(prof.Scaled(mcfg.MemoryBytes/64), 3000), 3000); err != nil {
+	if _, err := sim.Run(ctrl, rc.sourceN(prof.Scaled(mcfg.MemoryBytes/64), 3000), 3000, nil); err != nil {
 		return nil, err
 	}
 	ctrl.Crash()
@@ -90,7 +90,7 @@ func runWith(cfg memctrl.Config, prof trace.Profile, rc RunConfig) (sim.Result, 
 	if err != nil {
 		return sim.Result{}, err
 	}
-	return sim.Run(ctrl, rc.source(prof), rc.Requests)
+	return sim.Run(ctrl, rc.source(prof), rc.Requests, nil)
 }
 
 // PrintAblationStopLoss renders the sweep.
@@ -205,7 +205,7 @@ func AblationEndurance(rc RunConfig) ([]EnduranceRow, error) {
 		if err != nil {
 			return measured{}, err
 		}
-		res, err := sim.Run(ctrl, rc.source(prof), rc.Requests)
+		res, err := sim.Run(ctrl, rc.source(prof), rc.Requests, nil)
 		if err != nil {
 			return measured{}, err
 		}

@@ -41,22 +41,6 @@ type RunConfig struct {
 	// eager path, byte-identical to pre-epoch builds; the zero value
 	// deliberately stays legacy so existing sweeps reproduce exactly.
 	Epoch int
-	// Shard is the intra-trial parallel engine's worker count: each
-	// simulation cell precomputes its content plane (crypto, counters,
-	// codecs) across this many shard workers while the timing spine
-	// replays sequentially (sim.RunSharded). 0 selects the legacy
-	// single-plane engine; any value >= 1 routes through the sharded
-	// engine, whose simulated metrics are byte-identical at every
-	// count — the shard-sweep bench gate enforces it.
-	Shard int
-	// Fastpath enables the hit-burst fast lane (sim.RunFast /
-	// sim.RunShardedFast): steady-state full-hit requests retire in
-	// closed-form batches with an exact fallback. Simulated metrics are
-	// byte-identical either way — only host wall-clock changes — which
-	// the -fastpath-sweep bench gate enforces. Cells with a trace probe
-	// attached fall back to the stepped engine (the lane takes no
-	// per-request observation).
-	Fastpath bool
 	// Parallel is the evaluation engine's worker count: how many
 	// (scheme, app, size) simulation cells run concurrently. 0 means
 	// runtime.GOMAXPROCS(0); 1 reproduces the legacy sequential path.
@@ -177,7 +161,7 @@ func (rc RunConfig) run(f sim.Family, s memctrl.Scheme, p trace.Profile) (sim.Re
 	}
 	var res sim.Result
 	// Label the cell for CPU/heap profiles: `go tool pprof` can then
-	// slice a whole-sweep profile by app, scheme, family or engine
+	// slice a whole-sweep profile by app, scheme or family
 	// (-tagfocus/-tagshow). Labels only annotate samples — they never
 	// change what runs. See README § Profiling a sweep.
 	pprof.Do(ctx, pprof.Labels(
@@ -185,18 +169,8 @@ func (rc RunConfig) run(f sim.Family, s memctrl.Scheme, p trace.Profile) (sim.Re
 		"profile", p.Name,
 		"scheme", s.String(),
 		"family", f.String(),
-		"fastpath", fmt.Sprintf("%t", rc.Fastpath),
 	), func(context.Context) {
-		switch {
-		case rc.Shard > 0 && rc.Fastpath && probe == nil:
-			res, err = sim.RunShardedFast(ctrl, rc.source(p), rc.Requests, rc.Shard)
-		case rc.Shard > 0:
-			res, err = sim.RunSharded(ctrl, rc.source(p), rc.Requests, rc.Shard, probe)
-		case rc.Fastpath && probe == nil:
-			res, err = sim.RunFast(ctrl, rc.source(p), rc.Requests)
-		default:
-			res, err = sim.RunObserved(ctrl, rc.source(p), rc.Requests, probe)
-		}
+		res, err = sim.Run(ctrl, rc.source(p), rc.Requests, probe)
 	})
 	if err == nil && rc.OnCell != nil {
 		rc.OnCell(res)
@@ -454,7 +428,7 @@ func MeasuredRecovery(scheme memctrl.Scheme, family sim.Family, rc RunConfig) (*
 		return nil, err
 	}
 	prof := rc.profiles()[0]
-	if _, err := sim.Run(ctrl, rc.source(prof), rc.Requests); err != nil {
+	if _, err := sim.Run(ctrl, rc.source(prof), rc.Requests, nil); err != nil {
 		return nil, err
 	}
 	ctrl.Crash()

@@ -12,7 +12,6 @@ import (
 	"anubis/internal/nvm"
 	"anubis/internal/obs"
 	"anubis/internal/shadow"
-	"anubis/internal/shard"
 )
 
 // regBonsaiRoot is the on-chip persistent register holding the general
@@ -70,14 +69,6 @@ type Bonsai struct {
 	// pending accumulates the current operation's atomic write group.
 	pending []nvm.PendingWrite
 
-	// oe is the shard-oracle entry for the in-flight request, attached
-	// by sim.RunSharded via SetContentEntry. Nil outside sharded runs:
-	// every consumption site is one predictable nil-check branch (same
-	// discipline as probe). When set, precomputed content substitutes
-	// for the crypto/codec recomputation — device traffic, timing and
-	// statistics are byte-identical either way (see internal/shard).
-	oe *shard.Entry
-
 	// Epoch pipeline state (cfg.EpochRequests > 1 only; see
 	// bonsai_epoch.go): writes since the last close, the set of counter
 	// pages with deferred tree-path updates, and reusable close-time
@@ -87,11 +78,6 @@ type Bonsai struct {
 	epochDirty  map[uint64]struct{}
 	epochPages  []uint64
 	epochHash   []uint64
-
-	// fp is the hit-burst fast lane (bonsai_fastpath.go). Disabled by
-	// default; every legacy entry point flushes it defensively, so the
-	// two planes can never observe each other mid-run.
-	fp bonsaiFastLane
 }
 
 // NewBonsai constructs a Bonsai-family controller for cfg.Scheme, which
@@ -221,7 +207,6 @@ func (b *Bonsai) SetProbe(p obs.Probe) { b.probe = p }
 
 // Stats returns run-time statistics.
 func (b *Bonsai) Stats() RunStats {
-	b.flushFastRun()
 	s := b.stats
 	s.NVM = b.dev.Stats()
 	s.CounterCache = b.cCache.Stats()
@@ -385,7 +370,6 @@ func (b *Bonsai) checkAddr(idx uint64) error {
 
 // ReadBlock decrypts and verifies one data block.
 func (b *Bonsai) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
-	b.flushFastRun()
 	var zero [BlockBytes]byte
 	if err := b.checkAddr(idx); err != nil {
 		return zero, err
@@ -415,13 +399,6 @@ func (b *Bonsai) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
 	if !has {
 		return zero, nil // never written: logical zeros
 	}
-	if e := b.oe; e != nil && e.Has {
-		// Shard oracle: the owning worker already derived the plaintext
-		// from the write history, so decrypt + ECC + MAC recomputation
-		// is skipped — their latency is charged above exactly as on the
-		// legacy path, which verifies the same bytes.
-		return e.PT, nil
-	}
 	s := counter.UnpackSplit(line.Data)
 	ctr := s.Counter(lane)
 	var pt [BlockBytes]byte
@@ -442,7 +419,6 @@ func (b *Bonsai) ReadBlock(idx uint64) ([BlockBytes]byte, error) {
 // epoch pipeline (bonsai_epoch.go); otherwise the legacy lockstep path
 // runs, byte-identical to pre-epoch builds.
 func (b *Bonsai) WriteBlock(idx uint64, data [BlockBytes]byte) error {
-	b.flushFastRun()
 	if b.cfg.EpochRequests > 1 {
 		return b.writeBlockEpoch(idx, data)
 	}
@@ -462,29 +438,18 @@ func (b *Bonsai) writeBlockLegacy(idx uint64, data [BlockBytes]byte) error {
 	}
 	b.pending = b.pending[:0]
 
-	var leafHash, ctr uint64
-	if e := b.oe; e != nil {
-		if e.Overflow {
-			if err := b.reencryptPage(page, nil, nil); err != nil {
-				return err
-			}
+	s := counter.UnpackSplit(line.Data)
+	old := s
+	if s.Increment(lane) {
+		// Minor overflow: the page is re-encrypted under the new major
+		// counter and the counter block force-persisted, so Osiris-style
+		// recovery never needs to guess across an overflow.
+		if err := b.reencryptPage(page, &old, &s); err != nil {
+			return err
 		}
-		line.Data = e.CtrBlock
-		leafHash, ctr = e.LeafHash, e.Ctr
-	} else {
-		s := counter.UnpackSplit(line.Data)
-		old := s
-		if s.Increment(lane) {
-			// Minor overflow: the page is re-encrypted under the new major
-			// counter and the counter block force-persisted, so Osiris-style
-			// recovery never needs to guess across an overflow.
-			if err := b.reencryptPage(page, &old, &s); err != nil {
-				return err
-			}
-		}
-		line.Data = s.Pack()
-		leafHash, ctr = b.eng.ContentHash(line.Data[:]), s.Counter(lane)
 	}
+	line.Data = s.Pack()
+	leafHash, ctr := b.eng.ContentHash(line.Data[:]), s.Counter(lane)
 	if b.cfg.Scheme == SchemeStrict {
 		// Strict persistence: the counter write goes out immediately;
 		// the cached copy stays clean.
@@ -527,14 +492,10 @@ func (b *Bonsai) writeBlockLegacy(idx uint64, data [BlockBytes]byte) error {
 
 	// Encrypt the data under the fresh counter; ECC covers the plaintext
 	// (the Osiris sanity check), the MAC binds data to counter+address.
-	if e := b.oe; e != nil {
-		b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: b.wl.phys(idx), Block: e.CT, HasSide: true, Side: e.Side})
-	} else {
-		var ctBlk [BlockBytes]byte
-		b.eng.EncryptTo(ctBlk[:], data[:], idx, ctr)
-		side := nvm.Sideband{ECC: ecc.EncodeBlock(data[:]), MAC: b.eng.DataMAC(idx, ctr, data[:]), Phase: uint8(ctr)}
-		b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: b.wl.phys(idx), Block: ctBlk, HasSide: true, Side: side})
-	}
+	var ctBlk [BlockBytes]byte
+	b.eng.EncryptTo(ctBlk[:], data[:], idx, ctr)
+	side := nvm.Sideband{ECC: ecc.EncodeBlock(data[:]), MAC: b.eng.DataMAC(idx, ctr, data[:]), Phase: uint8(ctr)}
+	b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: b.wl.phys(idx), Block: ctBlk, HasSide: true, Side: side})
 
 	// Eager tree update: propagate the leaf change to the on-chip root.
 	if err := b.updateTreePath(page, leafHash); err != nil {
@@ -557,11 +518,7 @@ func (b *Bonsai) writeBlockLegacy(idx uint64, data [BlockBytes]byte) error {
 // updateTreePath applies the eager update policy: every ancestor of the
 // counter block is updated in cache (strict persistence additionally
 // stages each updated node for write-out and keeps the lines clean).
-// leafHash is the content hash of the updated counter block — computed
-// by the caller, so the shard oracle can supply it precomputed.
-// Interior-node hashes are recomputed here regardless: a node
-// aggregates sibling pages, so its content is not page-local and never
-// comes from the oracle.
+// leafHash is the content hash of the updated counter block.
 func (b *Bonsai) updateTreePath(page uint64, leafHash uint64) error {
 	childHash := leafHash
 	childIdx := page
@@ -597,21 +554,11 @@ func (b *Bonsai) updateTreePath(page uint64, leafHash uint64) error {
 
 // reencryptPage handles a split-counter page overflow: all lines of the
 // page are decrypted under the old counters and re-encrypted under the
-// new major counter, and the counter block is force-persisted. Under
-// the shard oracle (old/fresh nil) the re-encrypted lanes come
-// precomputed; the timed per-lane device reads — the part that shapes
-// simulated time — are identical either way.
+// new major counter, and the counter block is force-persisted.
 func (b *Bonsai) reencryptPage(page uint64, old, fresh *counter.Split) error {
 	b.stats.PageOverflows++
 	ovStart := b.now
 	base := page * counter.SplitMinors
-	e := b.oe
-	if e != nil && (old != nil || !e.Overflow) {
-		// Legacy callers always pass counters; nil counters are the
-		// oracle path and require a matching overflow entry.
-		panic("memctrl: page re-encryption without matching shard-oracle entry")
-	}
-	j := 0
 	for lane := 0; lane < counter.SplitMinors; lane++ {
 		idx := base + uint64(lane)
 		phys := b.wl.phys(idx)
@@ -620,14 +567,6 @@ func (b *Bonsai) reencryptPage(page uint64, old, fresh *counter.Split) error {
 		}
 		ct, _, done := b.dev.ReadAtPtr(nvm.RegionData, phys, b.now)
 		b.now = done
-		if e != nil {
-			if j >= len(e.Reenc) || e.Reenc[j].Lane != lane {
-				panic("memctrl: shard-oracle desync during page re-encryption")
-			}
-			b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: phys, Block: e.Reenc[j].CT, HasSide: true, Side: e.Reenc[j].Side})
-			j++
-			continue
-		}
 		var pt [BlockBytes]byte
 		b.eng.DecryptTo(pt[:], ct[:], idx, old.Counter(lane))
 		side := b.dev.ReadSideband(phys)
@@ -640,19 +579,10 @@ func (b *Bonsai) reencryptPage(page uint64, old, fresh *counter.Split) error {
 		nside := nvm.Sideband{ECC: side.ECC, MAC: b.eng.DataMAC(idx, nctr, pt[:]), Phase: uint8(nctr)}
 		b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: phys, Block: blk, HasSide: true, Side: nside})
 	}
-	if e != nil && j != len(e.Reenc) {
-		panic("memctrl: shard-oracle desync during page re-encryption")
-	}
 	// Force-persist the fresh counter block (drift resets to zero).
 	b.updateCount.Set(page, 0)
 	b.stats.StopLossWrites++
-	var packed [BlockBytes]byte
-	if e != nil {
-		packed = e.CtrBlock
-	} else {
-		packed = fresh.Pack()
-	}
-	b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionCounter, Index: page, Block: packed})
+	b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionCounter, Index: page, Block: fresh.Pack()})
 	if b.probe != nil {
 		b.probe.Event(obs.EvOverflow, ovStart, b.now, page)
 	}
@@ -695,7 +625,6 @@ func (b *Bonsai) commitPending() {
 
 // FlushCaches writes back all dirty metadata (orderly shutdown).
 func (b *Bonsai) FlushCaches() {
-	b.flushFastRun()
 	// An open epoch window drains first: flushed counter lines may carry
 	// content the stale root register does not cover yet. A close
 	// failure here is an integrity error that every subsequent
@@ -720,10 +649,6 @@ func (b *Bonsai) Crash() { b.CrashWith(nvm.CrashFullADR, nil) }
 // nvm.CrashModel). Volatile controller state is lost identically under
 // every model.
 func (b *Bonsai) CrashWith(model nvm.CrashModel, rng *rand.Rand) {
-	// The fast lane's deferred work is all timeless and would have been
-	// applied already on the stepped path — fold it in before power dies
-	// so the crashed image is byte-identical either way.
-	b.flushFastRun()
 	b.dev.CrashWith(model, rng)
 	b.cCache.DropAll()
 	b.tCache.DropAll()

@@ -51,16 +51,8 @@ func (b *Bonsai) writeBlockEpoch(idx uint64, data [BlockBytes]byte) error {
 	if err != nil {
 		return err
 	}
-	e := b.oe
-	var s counter.Split
-	var overflow bool
-	if e != nil {
-		overflow = e.Overflow
-	} else {
-		s = counter.UnpackSplit(line.Data)
-		overflow = s.Minors[lane] == counter.MinorMax
-	}
-	if overflow {
+	s := counter.UnpackSplit(line.Data)
+	if s.Minors[lane] == counter.MinorMax {
 		// Page overflow ahead: the re-encryption rewrites every lane of
 		// the page, which the coalescing window cannot express. Close
 		// the window and take the legacy path for this one write (the
@@ -74,15 +66,9 @@ func (b *Bonsai) writeBlockEpoch(idx uint64, data [BlockBytes]byte) error {
 	b.pending = b.pending[:0]
 
 	epochStart := line.Data
-	var ctr uint64
-	if e != nil {
-		line.Data = e.CtrBlock
-		ctr = e.Ctr
-	} else {
-		s.Increment(lane) // cannot overflow: pre-checked above
-		line.Data = s.Pack()
-		ctr = s.Counter(lane)
-	}
+	s.Increment(lane) // cannot overflow: pre-checked above
+	line.Data = s.Pack()
+	ctr := s.Counter(lane)
 	if b.cfg.Scheme == SchemeStrict {
 		b.stats.StrictWrites++
 		b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionCounter, Index: page, Block: line.Data})
@@ -111,14 +97,10 @@ func (b *Bonsai) writeBlockEpoch(idx uint64, data [BlockBytes]byte) error {
 		}
 	}
 
-	if e != nil {
-		b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: b.wl.phys(idx), Block: e.CT, HasSide: true, Side: e.Side})
-	} else {
-		var ctBlk [BlockBytes]byte
-		b.eng.EncryptTo(ctBlk[:], data[:], idx, ctr)
-		side := nvm.Sideband{ECC: ecc.EncodeBlock(data[:]), MAC: b.eng.DataMAC(idx, ctr, data[:]), Phase: uint8(ctr)}
-		b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: b.wl.phys(idx), Block: ctBlk, HasSide: true, Side: side})
-	}
+	var ctBlk [BlockBytes]byte
+	b.eng.EncryptTo(ctBlk[:], data[:], idx, ctr)
+	side := nvm.Sideband{ECC: ecc.EncodeBlock(data[:]), MAC: b.eng.DataMAC(idx, ctr, data[:]), Phase: uint8(ctr)}
+	b.pending = append(b.pending, nvm.PendingWrite{Region: nvm.RegionData, Index: b.wl.phys(idx), Block: ctBlk, HasSide: true, Side: side})
 
 	// Deferred tree update: remember the page and journal the change.
 	// Old pins the epoch-start content (sticky across the window: a
@@ -268,7 +250,6 @@ func (b *Bonsai) closeEpoch() error {
 // controllers. The harness calls it at end-of-run so the reported
 // state and timings cover the whole workload.
 func (b *Bonsai) FlushEpoch() error {
-	b.flushFastRun()
 	if b.crashed || b.cfg.EpochRequests <= 1 {
 		return nil
 	}

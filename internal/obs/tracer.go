@@ -12,7 +12,7 @@ type EventKind uint8
 
 const (
 	// EvReadReq / EvWriteReq are completed simulated requests
-	// (emitted by sim.RunObserved with their attribution delta).
+	// (emitted by sim.Run with their attribution delta).
 	EvReadReq EventKind = iota
 	EvWriteReq
 	// EvEviction is a dirty metadata-cache victim writeback.

@@ -85,7 +85,7 @@ func TestAttributionSumExact(t *testing.T) {
 					}
 					probe := &sumCheckProbe{t: t}
 					gen := trace.NewGenerator(p.Scaled(ctrl.NumBlocks()), 99)
-					res, err := RunObserved(ctrl, gen, nReq, probe)
+					res, err := Run(ctrl, gen, nReq, probe)
 					if err != nil {
 						t.Fatalf("%v/%v/%s: %v", cell.family, cell.scheme, p.Name, err)
 					}
@@ -108,7 +108,7 @@ func TestAttributionSumExact(t *testing.T) {
 }
 
 // TestRunObservedTimingUnchanged checks the zero-interference guarantee:
-// attaching a probe must not change a single simulated quantity.
+// attaching a probe to Run must not change a single simulated quantity.
 func TestRunObservedTimingUnchanged(t *testing.T) {
 	for _, cell := range attrCells[:4] {
 		run := func(probe obs.Probe) Result {
@@ -118,7 +118,7 @@ func TestRunObservedTimingUnchanged(t *testing.T) {
 			}
 			p, _ := trace.ByName("libquantum")
 			gen := trace.NewGenerator(p.Scaled(ctrl.NumBlocks()), 99)
-			res, err := RunObserved(ctrl, gen, 800, probe)
+			res, err := Run(ctrl, gen, 800, probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestRecoveryAttributionLedgerSurvivesCrash(t *testing.T) {
 	}
 	p, _ := trace.ByName("libquantum")
 	gen := trace.NewGenerator(p.Scaled(ctrl.NumBlocks()), 99)
-	res, err := Run(ctrl, gen, 500)
+	res, err := Run(ctrl, gen, 500, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

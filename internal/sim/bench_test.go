@@ -26,7 +26,7 @@ func BenchmarkSimHotLoop(b *testing.B) {
 	gen := trace.NewGenerator(p, 99)
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := Run(ctrl, gen, b.N); err != nil {
+	if _, err := Run(ctrl, gen, b.N, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
@@ -47,7 +47,7 @@ func BenchmarkSimHotLoopSGX(b *testing.B) {
 	gen := trace.NewGenerator(p, 99)
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := Run(ctrl, gen, b.N); err != nil {
+	if _, err := Run(ctrl, gen, b.N, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
@@ -114,34 +114,23 @@ func testSteadyStateZeroAllocs(t *testing.T, derive func(memctrl.Controller) mem
 				t.Fatal(err)
 			}
 			gen := trace.NewGenerator(p, 99)
-			if _, err := Run(ctrl, gen, 200000); err != nil {
+			if _, err := Run(ctrl, gen, 200000, nil); err != nil {
 				t.Fatal(err)
 			}
 			// For the forked variant: derive the measured controller
 			// from the warm one, then settle its COW state with a
 			// second warm phase (first writes copy shared pages).
 			ctrl = derive(ctrl)
-			if _, err := Run(ctrl, gen, 200000); err != nil {
+			if _, err := Run(ctrl, gen, 200000, nil); err != nil {
 				t.Fatal(err)
 			}
 			avg := testing.AllocsPerRun(50, func() {
-				if _, err := Run(ctrl, gen, 50); err != nil {
+				if _, err := Run(ctrl, gen, 50, nil); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if perReq := avg / 50; perReq > 0.02 {
 				t.Errorf("steady-state Run: %.3f allocs/request, want 0", perReq)
-			}
-			// The probe-disabled observed path must be exactly as free:
-			// a nil probe is one predictable branch per request, and the
-			// always-on attribution ledger is plain uint64 adds.
-			avg = testing.AllocsPerRun(50, func() {
-				if _, err := RunObserved(ctrl, gen, 50, nil); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if perReq := avg / 50; perReq > 0.02 {
-				t.Errorf("steady-state RunObserved(nil): %.3f allocs/request, want 0", perReq)
 			}
 		})
 	}

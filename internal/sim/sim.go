@@ -15,7 +15,6 @@ import (
 
 	"anubis/internal/memctrl"
 	"anubis/internal/obs"
-	"anubis/internal/shard"
 	"anubis/internal/trace"
 )
 
@@ -72,56 +71,24 @@ func (r Result) WritesPerRequest() float64 {
 	return float64(r.Stats.NVM.Writes) / float64(r.Stats.WriteRequests)
 }
 
-// Run drives nReq requests from the source through the controller.
-// The source's blocks are taken modulo the controller's capacity, so
-// profiles with larger footprints than the simulated memory still run
-// (with correspondingly reduced locality).
-func Run(ctrl memctrl.Controller, gen trace.Source, nReq int) (Result, error) {
-	return runObserved(ctrl, gen, nReq, nil, false)
-}
-
-// RunFast is Run with the hit-burst fast path enabled: steady-state
-// full-hit requests retire in closed form, batched per burst, with an
-// exact fallback to the stepped path on the first ineligible request.
-// The Result is byte-identical to Run — the lane only changes host
-// wall-clock — enforced by TestFastPathByteIdentical and the bench
-// -fastpath-sweep gate. Controllers without a fast lane run as Run.
-func RunFast(ctrl memctrl.Controller, gen trace.Source, nReq int) (Result, error) {
-	return runObserved(ctrl, gen, nReq, nil, true)
-}
-
 // probeSetter is implemented by controllers that accept an event probe.
 // It is matched by type assertion rather than widening the Controller
 // interface, so third-party controllers need not implement it.
 type probeSetter interface{ SetProbe(obs.Probe) }
 
-// fastLaner is implemented by controllers with a hit-burst fast path;
-// matched by assertion like probeSetter. The contract: TryFastRead /
-// TryFastWrite either retire the request exactly (true) or change
-// nothing (false), FlushFastRun folds deferred batched work in, and
-// SetFastPath(false) disables the lane (flushing first). Simulated
-// metrics must be byte-identical with the lane on or off.
-type fastLaner interface {
-	SetFastPath(bool)
-	TryFastRead(idx uint64) bool
-	TryFastWrite(idx uint64, data *[memctrl.BlockBytes]byte) bool
-	FlushFastRun()
-	FastPathStats() (batches, requests uint64)
-}
-
-// RunObserved is Run with an optional event probe: each completed
-// request is reported with its per-component latency attribution, and
-// the controller (when it supports SetProbe) reports structural events
-// — evictions, commit-group drains, page overflows — to the same probe.
-// A nil probe makes RunObserved behave exactly like Run: the hot loop
-// takes one predictable branch per request and allocates nothing, and
-// simulated timing is byte-identical either way (probes only ever
-// receive completed facts).
-func RunObserved(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.Probe) (Result, error) {
-	return runObserved(ctrl, gen, nReq, probe, false)
-}
-
-func runObserved(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.Probe, fastpath bool) (Result, error) {
+// Run drives nReq requests from the source through the controller.
+// The source's blocks are taken modulo the controller's capacity, so
+// profiles with larger footprints than the simulated memory still run
+// (with correspondingly reduced locality).
+//
+// probe, when non-nil, observes the run: each completed request is
+// reported with its per-component latency attribution, and the
+// controller (when it supports SetProbe) reports structural events —
+// evictions, commit-group drains, page overflows — to the same probe.
+// A nil probe means no observation: the hot loop takes one predictable
+// branch per request and allocates nothing, and simulated timing is
+// byte-identical either way (probes only ever receive completed facts).
+func Run(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.Probe) (Result, error) {
 	res := Result{Workload: gen.Name(), Scheme: ctrl.Scheme(), Family: FamilyOf(ctrl), Requests: nReq}
 	nBlocks := ctrl.NumBlocks()
 	if probe != nil {
@@ -130,28 +97,11 @@ func runObserved(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.
 			defer ps.SetProbe(nil)
 		}
 	}
-	// The fast lane needs no per-request observation, so an attached
-	// probe forces the stepped path (the controller-side guard would
-	// reject anyway; skipping the calls is cheaper).
-	fl, useFast := ctrl.(fastLaner)
-	useFast = useFast && fastpath && probe == nil
-	if useFast {
-		fl.SetFastPath(true)
-		defer fl.SetFastPath(false)
-	}
 	att := ctrl.Device().Attr()
 	// One scratch block for the whole run: fill overwrites all 64 bytes
 	// per write request, so re-zeroing a fresh array every iteration
 	// (the old per-iteration `var data`) was pure waste on the hot loop.
-	// The fast lane gets a separate heap buffer: &fast crosses the
-	// fastLaner interface boundary and would drag the stack scratch to
-	// the heap on every run, including lane-off runs the zero-alloc
-	// steady-state tests guard.
 	var data [memctrl.BlockBytes]byte
-	var fast *[memctrl.BlockBytes]byte
-	if useFast {
-		fast = new([memctrl.BlockBytes]byte)
-	}
 	// Arena-backed runs that start at position zero share the arena's
 	// memoized payload table instead of regenerating plaintext per cell:
 	// payload content is a pure function of (block, position), and a
@@ -179,20 +129,7 @@ func runObserved(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.
 			*snap = *att
 		}
 		if req.Op == trace.OpWrite {
-			if useFast {
-				// Copy, never alias: TryFastWrite takes a pointer, and the
-				// payload table is shared read-only across cells.
-				if payloads != nil {
-					*fast = payloads[i]
-				} else {
-					FillBlock(fast, req.Block, uint64(i))
-				}
-				if fl.TryFastWrite(addr, fast) {
-					res.WriteLat.Add(ctrl.Now() - issue)
-					continue
-				}
-				data = *fast
-			} else if payloads != nil {
+			if payloads != nil {
 				data = payloads[i]
 			} else {
 				FillBlock(&data, req.Block, uint64(i))
@@ -206,10 +143,6 @@ func runObserved(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.
 				probe.Request(obs.EvWriteReq, addr, issue, ctrl.Now(), delta)
 			}
 		} else {
-			if useFast && fl.TryFastRead(addr) {
-				res.ReadLat.Add(ctrl.Now() - issue)
-				continue
-			}
 			if _, err := ctrl.ReadBlock(addr); err != nil {
 				return res, fmt.Errorf("sim: request %d (read %d): %w", i, addr, err)
 			}
@@ -219,10 +152,6 @@ func runObserved(ctrl memctrl.Controller, gen trace.Source, nReq int, probe obs.
 				probe.Request(obs.EvReadReq, addr, issue, ctrl.Now(), delta)
 			}
 		}
-	}
-	// Any open burst folds in before end-of-run flushes and stats.
-	if useFast {
-		fl.FlushFastRun()
 	}
 	// Close any open epoch window (bank-parallel epoch pipeline) so the
 	// reported execution time and device state cover the whole workload;
@@ -244,11 +173,15 @@ type epochFlusher interface{ FlushEpoch() error }
 
 // FillBlock writes deterministic content so every write has distinct
 // data. Exported so the crash-injection fuzzer can regenerate the exact
-// bytes Run wrote when maintaining its golden shadow copy. The
-// canonical definition lives in internal/shard, whose precompute
-// workers must generate the very same bytes off the hot path.
+// bytes Run wrote when maintaining its golden shadow copy.
 func FillBlock(d *[memctrl.BlockBytes]byte, block, n uint64) {
-	shard.FillBlock(d, block, n)
+	x := block*0x9e3779b97f4a7c15 ^ n
+	for i := range d {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		d[i] = byte(x)
+	}
 }
 
 // NewController constructs the right controller family for a scheme:

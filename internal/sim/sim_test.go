@@ -28,7 +28,7 @@ func runOne(t *testing.T, f Family, s memctrl.Scheme, prof trace.Profile, n int)
 		t.Fatal(err)
 	}
 	gen := trace.NewGenerator(prof, 12345)
-	res, err := Run(ctrl, gen, n)
+	res, err := Run(ctrl, gen, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

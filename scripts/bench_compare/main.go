@@ -68,12 +68,8 @@ func main() {
 		"fail (exit 1) if any shared figure regresses by more than this percent (0 = report only)")
 	epochSweep := flag.Bool("epoch-sweep", false,
 		"diff the epoch-pipeline records (epoch:1/4/16/64) of the two reports; simulated metrics are deterministic, so ANY drift at epoch:1 — against the legacy quick_seq:fig10 record or between the reports — fails (exit 1)")
-	shardSweep := flag.Bool("shard-sweep", false,
-		"diff the intra-trial shard records (shard:1/2/4/8); sharding is contractually metric-neutral, so ANY simulated-metric drift — shard:1 against the legacy quick_seq:fig10 anchor, shard:N against shard:1, or between the reports — fails (exit 1)")
-	fastpathSweep := flag.Bool("fastpath-sweep", false,
-		"diff the hit-burst fast-path records (fastpath:0/1); the lane is contractually metric-neutral, so ANY simulated-metric drift — fastpath:0 against the legacy quick_seq:fig10 anchor, fastpath:1 against fastpath:0, or between the reports — fails (exit 1)")
 	exactMetrics := flag.Bool("exact-metrics", false,
-		"require every metric shared by same-named figures in the two reports to be bit-identical (exit 1 on any drift); the consolidated form of the old text-diff determinism smokes (make bench-epoch/bench-shard/bench-fastpath)")
+		"require every metric shared by same-named figures in the two reports to be bit-identical (exit 1 on any drift); the consolidated form of the old text-diff determinism smokes (make bench-epoch)")
 	maxAttrRegress := flag.Float64("max-attr-regress", 0,
 		"fail (exit 1) if any stall component's simulated ns/request grows by more than this percent (0 = report only); simulated time is deterministic, so tight thresholds are safe")
 	minAttrNS := flag.Float64("min-attr-ns", 1.0,
@@ -135,16 +131,6 @@ func main() {
 
 	if *epochSweep {
 		if !compareEpochSweep(oldRep, newRep) {
-			os.Exit(1)
-		}
-	}
-	if *shardSweep {
-		if !compareShardSweep(oldRep, newRep) {
-			os.Exit(1)
-		}
-	}
-	if *fastpathSweep {
-		if !compareFastpathSweep(oldRep, newRep) {
 			os.Exit(1)
 		}
 	}
@@ -265,193 +251,11 @@ func compareEpochSweep(oldRep, newRep *report,
 	return ok
 }
 
-// shardSizes are the intra-trial shard worker counts the suite records.
-var shardSizes = []int{1, 2, 4, 8}
-
-// compareShardSweep checks the shard-sweep records of two reports.
-// Sharding splits a run's content plane across host cores without
-// touching the timing plane, so — unlike the epoch sweep, where larger
-// windows legitimately change simulated time — EVERY shard record must
-// carry identical simulated metrics. Three exact gates, any failure
-// returns false:
-//
-//  1. anchor: shard:1 must reproduce the legacy quick_seq:fig10
-//     metrics bit for bit, within each report;
-//  2. neutrality: shard:{2,4,8} must equal shard:1, within each report;
-//  3. stability: each shard:N record must match between the reports.
-//
-// Wall times are deliberately ignored — they are the host-side scaling
-// curve, not a contract.
-func compareShardSweep(oldRep, newRep *report) bool {
-	byName := func(r *report) map[string]figureTiming {
-		m := make(map[string]figureTiming, len(r.Figures))
-		for _, f := range r.Figures {
-			m[f.Name] = f
-		}
-		return m
-	}
-	oldBy, newBy := byName(oldRep), byName(newRep)
-
-	fmt.Printf("\n  intra-trial shard sweep (simulated metrics; exact comparison)\n")
-	ok := true
-
-	exact := func(label, wantName string, want, got figureTiming) bool {
-		clean := true
-		keys := make([]string, 0, len(got.Metrics))
-		for k := range got.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			wv, shared := want.Metrics[k]
-			if !shared {
-				continue
-			}
-			if gv := got.Metrics[k]; gv != wv {
-				fmt.Fprintf(os.Stderr, "bench_compare: %s: %s = %v, %s = %v (shard determinism violation)\n",
-					label, k, gv, wantName, wv)
-				clean = false
-			}
-		}
-		return clean
-	}
-
-	for _, side := range []struct {
-		label string
-		by    map[string]figureTiming
-	}{{"old", oldBy}, {"new", newBy}} {
-		s1, hasS1 := side.by["shard:1"]
-		if !hasS1 {
-			continue
-		}
-		if legacy, hasLegacy := side.by["quick_seq:fig10"]; hasLegacy {
-			if !exact(side.label+" report: shard:1", "legacy quick_seq:fig10", legacy, s1) {
-				ok = false
-			}
-		}
-		for _, sh := range shardSizes[1:] {
-			name := fmt.Sprintf("shard:%d", sh)
-			sn, has := side.by[name]
-			if !has {
-				continue
-			}
-			if exact(side.label+" report: "+name, "shard:1", s1, sn) {
-				fmt.Printf("  %-28s %s: identical to shard:1\n", name, side.label)
-			} else {
-				ok = false
-			}
-		}
-	}
-
-	for _, sh := range shardSizes {
-		name := fmt.Sprintf("shard:%d", sh)
-		of, oldHas := oldBy[name]
-		nf, newHas := newBy[name]
-		switch {
-		case !oldHas && !newHas:
-			continue
-		case !oldHas || !newHas:
-			fmt.Printf("  %-28s only in %s report\n", name, map[bool]string{true: "new", false: "old"}[newHas])
-			continue
-		}
-		if !exact("cross-report "+name, "old "+name, of, nf) {
-			ok = false
-		}
-	}
-	return ok
-}
-
-// compareFastpathSweep checks the hit-burst fast-path records of two
-// reports. The lane only changes host wall-clock — closed-form burst
-// retirement must be byte-identical to the stepped engine on every
-// simulated metric — so, mirroring the shard sweep, three exact gates
-// apply, any failure returning false:
-//
-//  1. anchor: fastpath:0 must reproduce the legacy quick_seq:fig10
-//     metrics bit for bit, within each report;
-//  2. neutrality: fastpath:1 must equal fastpath:0, within each report;
-//  3. stability: each fastpath:N record must match between the reports.
-//
-// Wall times are deliberately ignored — their ratio is the lane's
-// speedup (the fastpath_speedup record), not a contract.
-func compareFastpathSweep(oldRep, newRep *report) bool {
-	byName := func(r *report) map[string]figureTiming {
-		m := make(map[string]figureTiming, len(r.Figures))
-		for _, f := range r.Figures {
-			m[f.Name] = f
-		}
-		return m
-	}
-	oldBy, newBy := byName(oldRep), byName(newRep)
-
-	fmt.Printf("\n  hit-burst fast-path sweep (simulated metrics; exact comparison)\n")
-	ok := true
-
-	exact := func(label, wantName string, want, got figureTiming) bool {
-		clean := true
-		keys := make([]string, 0, len(got.Metrics))
-		for k := range got.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			wv, shared := want.Metrics[k]
-			if !shared {
-				continue
-			}
-			if gv := got.Metrics[k]; gv != wv {
-				fmt.Fprintf(os.Stderr, "bench_compare: %s: %s = %v, %s = %v (fast-path determinism violation)\n",
-					label, k, gv, wantName, wv)
-				clean = false
-			}
-		}
-		return clean
-	}
-
-	for _, side := range []struct {
-		label string
-		by    map[string]figureTiming
-	}{{"old", oldBy}, {"new", newBy}} {
-		off, hasOff := side.by["fastpath:0"]
-		if !hasOff {
-			continue
-		}
-		if legacy, hasLegacy := side.by["quick_seq:fig10"]; hasLegacy {
-			if !exact(side.label+" report: fastpath:0", "legacy quick_seq:fig10", legacy, off) {
-				ok = false
-			}
-		}
-		if on, hasOn := side.by["fastpath:1"]; hasOn {
-			if exact(side.label+" report: fastpath:1", "fastpath:0", off, on) {
-				fmt.Printf("  %-28s %s: identical to fastpath:0\n", "fastpath:1", side.label)
-			} else {
-				ok = false
-			}
-		}
-	}
-
-	for _, name := range []string{"fastpath:0", "fastpath:1"} {
-		of, oldHas := oldBy[name]
-		nf, newHas := newBy[name]
-		switch {
-		case !oldHas && !newHas:
-			continue
-		case !oldHas || !newHas:
-			fmt.Printf("  %-28s only in %s report\n", name, map[bool]string{true: "new", false: "old"}[newHas])
-			continue
-		}
-		if !exact("cross-report "+name, "old "+name, of, nf) {
-			ok = false
-		}
-	}
-	return ok
-}
-
 // compareExactMetrics requires every metric shared by same-named
 // figures to be bit-identical between the two reports, plus identical
 // per-component attribution ledgers when both reports carry them. This
 // is the consolidated replacement for the old text-diff smokes (cmp on
-// results/epoch*.txt / shard*.txt): the two reports come from the same
+// results/epoch*.txt): the two reports come from the same
 // binary at two settings of a contractually metric-neutral knob, so
 // any drift at all is a determinism violation. Returns false on drift.
 func compareExactMetrics(oldRep, newRep *report) bool {
